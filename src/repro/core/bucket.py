@@ -186,6 +186,20 @@ class BucketArrayLayer:
     def __len__(self) -> int:
         return len(self.keys)
 
+    def copy(self, key_ids: np.ndarray | None = None) -> "BucketArrayLayer":
+        """A copy sharing no list or array with this layer.
+
+        The key objects themselves are shared (stream keys are immutable).
+        ``key_ids`` replaces the id mirror when the copy lives in a
+        renumbered id space; by default the ids are copied as they are.
+        """
+        layer = BucketArrayLayer.__new__(BucketArrayLayer)
+        layer.keys = list(self.keys)
+        layer.key_ids = self.key_ids.copy() if key_ids is None else key_ids
+        layer.yes = self.yes.copy()
+        layer.no = self.no.copy()
+        return layer
+
     def __iter__(self) -> Iterator[BucketView]:
         for index in range(len(self.keys)):
             yield BucketView(self, index)

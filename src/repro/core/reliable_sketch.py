@@ -37,6 +37,7 @@ scalar :meth:`query_with_error`.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -97,7 +98,8 @@ class ReliableSketch(Sketch):
     #: ``merge`` stays unsupported: lock/replace decisions are
     #: order-dependent, so two independently-fed sketches have no lossless
     #: combination.  Snapshots alone are what remote ingest (each key's whole
-    #: history reaches one worker) and the serving layer need.
+    #: history reaches one worker) and the durable store need; epoch
+    #: publication copies at array level instead (:meth:`__deepcopy__`).
     snapshotable = True
 
     def __init__(
@@ -500,6 +502,48 @@ class ReliableSketch(Sketch):
         self.failed_value = int(stats[1])
         self._insert_count = int(stats[2])
         self._query_count = int(stats[3])
+
+    def __deepcopy__(self, memo: dict) -> "ReliableSketch":
+        """Array-level replica: equal answers, no shared mutable state.
+
+        Counter, key-id and filter arrays are copied; candidate-key lists
+        are copied shallowly (keys are immutable, so the objects are
+        shared); hash functions are copied, so call counters stay per
+        instance.  An unbounded interner is rebuilt over the bucket-resident
+        keys only, numbered in first-occurrence order exactly as
+        :meth:`state_restore` numbers them — the replica's state is
+        array-for-array the one a snapshot round trip builds, without the
+        key codec, and it holds no ids for keys that left every bucket.  A
+        bounded interner is deep-copied unchanged (its LRU recency and any
+        recycled ids are state).
+        """
+        replica = object.__new__(type(self))
+        memo[id(self)] = replica
+        memo[id(self._kernel)] = self._kernel  # stateless entry points
+        for name, value in vars(self).items():
+            if name not in ("_layers", "_interner"):
+                setattr(replica, name, copy.deepcopy(value, memo))
+        if self.max_interned_keys is not None:
+            replica._interner = copy.deepcopy(self._interner, memo)
+            replica._layers = [layer.copy() for layer in self._layers]
+            return replica
+        resident, first = np.unique(
+            np.concatenate([layer.key_ids for layer in self._layers]),
+            return_index=True,
+        )
+        if resident.size and resident[0] == EMPTY_ID:
+            resident, first = resident[1:], first[1:]
+        resident = resident[np.argsort(first)]
+        # One slot past the last donor id holds EMPTY_ID, so empty buckets
+        # (id -1) remap to themselves through the same gather.
+        remap = np.full(len(self._interner) + 1, EMPTY_ID, dtype=np.int64)
+        remap[resident] = np.arange(len(resident), dtype=np.int64)
+        id_to_key = self._interner.id_to_key
+        replica._interner = KeyInterner.from_distinct_keys(
+            [id_to_key[item_id] for item_id in resident.tolist()]
+        )
+        replica._layers = [layer.copy(remap[layer.key_ids]) for layer in self._layers]
+        return replica
 
     # --------------------------------------------------------- introspection
     @property

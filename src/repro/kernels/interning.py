@@ -106,6 +106,20 @@ class KeyInterner:
         #: the table by ``_assign`` / ``_ensure_table`` back-fill).
         self._int_only = True
 
+    @classmethod
+    def from_distinct_keys(cls, keys: list) -> "KeyInterner":
+        """An unbounded interner in which ``keys[i]`` owns id ``i``.
+
+        ``keys`` must be pairwise distinct; the list is adopted, not copied.
+        Equivalent to interning them one by one in order, without the
+        per-key calls.
+        """
+        interner = cls()
+        interner._ids = dict(zip(keys, range(len(keys))))
+        interner.id_to_key = keys
+        interner._int_only = set(map(type, keys)) <= {int}
+        return interner
+
     def __len__(self) -> int:
         return len(self.id_to_key)
 

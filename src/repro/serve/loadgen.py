@@ -133,9 +133,10 @@ def run_loadgen(
     """Drive one serving endpoint with a mixed read/write workload.
 
     ``reference`` is a local empty sketch built with the *same* registry
-    configuration and seed as the served one; the generator feeds it every
-    write batch it ships and uses it for the end-of-run bit-identity check
-    (skipped when ``None``, leaving only the repeat-read signal).
+    configuration and seed as the served one; after the timed loop the
+    generator feeds it every write batch it shipped, batch for batch, and
+    uses it for the end-of-run bit-identity check (skipped when ``None``,
+    leaving only the repeat-read signal).  Only client calls are timed.
     """
     rng = np.random.default_rng(config.seed)
     zipf = ZipfGenerator(config.skew, universe=config.universe, seed=config.seed + 1)
@@ -154,7 +155,6 @@ def run_loadgen(
     write_cursor = 0
     read_cursor = 0
     read_index = 0
-    written_keys: dict = {}
 
     start = time.perf_counter()
     for operation in range(config.operations):
@@ -175,9 +175,6 @@ def run_loadgen(
             keys = write_keys[write_cursor : write_cursor + config.write_batch]
             write_cursor += config.write_batch
             client.ingest(keys)
-            if reference is not None:
-                reference.insert_batch(keys)
-            written_keys.update(dict.fromkeys(keys))
     wall_seconds = time.perf_counter() - start
 
     # Epoch-rotation accounting must be read BEFORE the drain flush: the
@@ -190,8 +187,10 @@ def run_loadgen(
     # Drain: force the final epoch, then compare every written key against
     # the reference fed the identical stream.
     client.flush()
-    if reference is not None and written_keys:
-        distinct = list(written_keys)
+    if reference is not None and write_cursor:
+        for offset in range(0, write_cursor, config.write_batch):
+            reference.insert_batch(write_keys[offset : offset + config.write_batch])
+        distinct = list(dict.fromkeys(write_keys[:write_cursor]))
         served, _ = client.query_batch(distinct)
         if not (served == reference.query_batch(distinct)).all():
             consistent = False

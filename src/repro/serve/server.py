@@ -237,7 +237,7 @@ class ServeConfig:
         )
 
     def build_service(self) -> SketchService:
-        """The configured service, with the replica factory wired in.
+        """The configured service.
 
         With ``store_dir``: opens the durable store, recovers the newest
         valid epoch + journal replay into a warm sketch, and seeds the
@@ -302,7 +302,6 @@ class ServeConfig:
             sketch = self.build_sketch()
         return SketchService(
             sketch,
-            factory=self.build_sketch,
             publish_every_items=self.publish_every_items,
             cache_size=self.cache_size,
             max_tracked_keys=self.max_tracked_keys,

@@ -56,10 +56,9 @@ class SketchService:
     sketch:
         The live sketch (any :class:`~repro.sketches.base.Sketch`, including
         a :class:`~repro.sketches.sharded.ShardedSketch`).
-    factory:
-        Optional builder of structurally identical empty peers — enables the
-        cheap snapshot-restore epoch replication (see
-        :func:`~repro.serve.snapshots.replicate_sketch`).
+        Every publish replicates it with
+        :func:`~repro.serve.snapshots.replicate_sketch` (``copy.deepcopy``;
+        ~8 ms for Ours at 1 MiB, array copies only).
     publish_every_items / publish_every_seconds:
         Epoch rotation cadence, forwarded to the writer.
     cache_size:
@@ -107,7 +106,6 @@ class SketchService:
     def __init__(
         self,
         sketch: Sketch,
-        factory: Callable[[], Sketch] | None = None,
         publish_every_items: int = DEFAULT_PUBLISH_EVERY_ITEMS,
         publish_every_seconds: float | None = None,
         cache_size: int = DEFAULT_CACHE_SIZE,
@@ -136,7 +134,6 @@ class SketchService:
         self.directory_prunes = 0
         # First-contact-ordered key directory (dict-as-ordered-set).
         self._keys: dict = {}
-        self._factory = factory
         # Temporal state — built before the writer exists: the construction
         # publish fires _on_publish, which offers the first epoch to the ring.
         self.ring = EpochRing(max_epochs=ring_epochs, max_bytes=ring_bytes)
@@ -157,7 +154,6 @@ class SketchService:
         self._store = store
         self._writer = EpochWriter(
             sketch,
-            factory=factory,
             publish_every_items=publish_every_items,
             publish_every_seconds=publish_every_seconds,
             on_publish=self._on_publish,
@@ -287,7 +283,7 @@ class SketchService:
             self.epoch_gone_rejections += 1
             raise EpochGoneError(earlier_id)
         earlier = self.resolve_epoch(earlier_id)
-        sketch = delta_sketch(current, earlier, self._factory)
+        sketch = delta_sketch(current, earlier)
         with self._cache_lock:
             self._window_cache[memo_key] = sketch
         return sketch, current.epoch_id

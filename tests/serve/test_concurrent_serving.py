@@ -31,7 +31,6 @@ FAMILIES = tuple(mergeable_names()) + ("Ours", "Ours(Raw)")
 def make_service(name, publish_every_items=700) -> SketchService:
     return SketchService(
         build_sketch(name, MEMORY, seed=0),
-        factory=lambda: build_sketch(name, MEMORY, seed=0),
         publish_every_items=publish_every_items,
     )
 

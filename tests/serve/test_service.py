@@ -14,7 +14,6 @@ MEMORY = 32 * 1024
 def make_service(name="CM_fast", publish_every_items=1000, **kwargs) -> SketchService:
     return SketchService(
         build_sketch(name, MEMORY, seed=0),
-        factory=lambda: build_sketch(name, MEMORY, seed=0),
         publish_every_items=publish_every_items,
         **kwargs,
     )

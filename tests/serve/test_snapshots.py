@@ -18,8 +18,8 @@ from repro.sketches.registry import build_sketch, snapshot_names
 from repro.streams.synthetic import zipf_stream
 
 MEMORY = 32 * 1024
-#: Snapshot families plus a deepcopy-only family (replication must work for
-#: both paths).
+#: Snapshot families plus a family without state snapshots (replication is
+#: one deepcopy path for every sketch).
 FAMILIES = ("CM_fast", "CU_fast", "Count", "Ours", "Elastic")
 
 
@@ -33,14 +33,14 @@ def filled_sketch(name, count=5000, seed=3):
 @pytest.mark.parametrize("name", FAMILIES)
 def test_replicate_answers_bit_identically(name):
     sketch, keys = filled_sketch(name)
-    factory = lambda: build_sketch(name, MEMORY, seed=0)  # noqa: E731
-    for replica in (replicate_sketch(sketch), replicate_sketch(sketch, factory)):
-        assert (replica.query_batch(keys) == sketch.query_batch(keys)).all()
+    replica = replicate_sketch(sketch)
+    assert (replica.query_batch(keys) == sketch.query_batch(keys)).all()
 
 
-def test_replicate_shares_no_state():
-    sketch, keys = filled_sketch("CM_fast")
-    replica = replicate_sketch(sketch, lambda: build_sketch("CM_fast", MEMORY, seed=0))
+@pytest.mark.parametrize("name", FAMILIES)
+def test_replicate_shares_no_state(name):
+    sketch, keys = filled_sketch(name)
+    replica = replicate_sketch(sketch)
     before = replica.query_batch(keys).copy()
     sketch.insert_batch(keys)  # mutate the donor only
     assert (replica.query_batch(keys) == before).all()
@@ -75,7 +75,6 @@ def test_published_epoch_is_frozen(name):
     """An epoch equals a deepcopy taken at publish time, forever."""
     writer = EpochWriter(
         build_sketch(name, MEMORY, seed=0),
-        factory=lambda: build_sketch(name, MEMORY, seed=0),
         publish_every_items=500,
     )
     stream = zipf_stream(4000, skew=1.2, universe=800, seed=9)

@@ -23,7 +23,6 @@ MEMORY = 32 * 1024
 def make_service(name="CM_fast", publish_every_items=100, **kwargs) -> SketchService:
     return SketchService(
         build_sketch(name, MEMORY, seed=0),
-        factory=lambda: build_sketch(name, MEMORY, seed=0),
         publish_every_items=publish_every_items,
         **kwargs,
     )
@@ -181,7 +180,6 @@ def test_change_listener_requires_directory():
     service = make_service()  # track_keys left on by default?
     service_untracked = SketchService(
         build_sketch("CM_fast", MEMORY, seed=0),
-        factory=lambda: build_sketch("CM_fast", MEMORY, seed=0),
         track_keys=False,
     )
     with pytest.raises(ValueError):
